@@ -1,10 +1,10 @@
 package counter
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math/big"
 	"slices"
-	"sort"
 )
 
 // component is a maximal set of free variables connected through active
@@ -87,9 +87,9 @@ func (s *Solver) findComponents(vars []int32) (comps []*component, freeCount int
 				}
 			}
 		}
-		sort.Slice(comp.vars, func(i, j int) bool { return comp.vars[i] < comp.vars[j] })
-		sort.Slice(comp.clauses, func(i, j int) bool { return comp.clauses[i] < comp.clauses[j] })
-		sort.Slice(comp.xors, func(i, j int) bool { return comp.xors[i] < comp.xors[j] })
+		slices.Sort(comp.vars)
+		slices.Sort(comp.clauses)
+		slices.Sort(comp.xors)
 		comps = append(comps, comp)
 	}
 	return comps, freeCount
@@ -134,7 +134,7 @@ func (s *Solver) cacheKey(comp *component) string {
 		s.varRank[v] = int32(i)
 	}
 	lits := s.keyLits[:0]
-	cls := s.keyCls[:0]
+	spans := s.keySpans[:0]
 	for _, ci := range comp.clauses {
 		start := len(lits)
 		for _, l := range s.clauses[ci] {
@@ -148,45 +148,99 @@ func (s *Solver) cacheKey(comp *component) string {
 			}
 			lits = append(lits, code)
 		}
-		seg := lits[start:len(lits):len(lits)]
-		slices.Sort(seg)
-		cls = append(cls, seg)
+		slices.Sort(lits[start:])
+		spans = append(spans, newKeySpan(lits, start))
 	}
-	sort.Slice(cls, func(i, j int) bool { return slices.Compare(cls[i], cls[j]) < 0 })
-	buf := s.keyBuf[:0]
-	for _, seg := range cls {
-		buf = binary.AppendUvarint(buf, uint64(len(seg)))
-		for _, code := range seg {
-			buf = binary.AppendUvarint(buf, uint64(code))
-		}
-	}
-	// XOR section: canonical rows (free-variable ranks + effective rhs),
-	// sorted, always present so clause-only keys cannot alias mixed ones.
-	xrs := make([][]int32, 0, len(comp.xors))
+	nCls := len(spans)
+	// XOR rows go into the same flat buffer as [hdr, ranks...], so rows
+	// sort by header first, then by their ranks.
 	for _, xi := range comp.xors {
 		start := len(lits)
+		lits = append(lits, 0) // header slot, filled below
 		for _, v := range s.xors[xi].Vars {
 			if s.assign[v] != unassigned {
 				continue
 			}
 			lits = append(lits, s.varRank[v]) // row Vars sorted => ranks sorted
 		}
-		seg := lits[start:len(lits):len(lits)]
-		hdr := int32(len(seg)) << 1
+		hdr := int32(len(lits)-start-1) << 1
 		if s.xors[xi].Rhs != (s.xorPar[xi] == 1) {
 			hdr |= 1
 		}
-		xrs = append(xrs, append([]int32{hdr}, seg...))
+		lits[start] = hdr
+		spans = append(spans, newKeySpan(lits, start))
 	}
-	sort.Slice(xrs, func(i, j int) bool { return slices.Compare(xrs[i], xrs[j]) < 0 })
-	buf = binary.AppendUvarint(buf, uint64(len(xrs)))
-	for _, seg := range xrs {
-		for _, code := range seg {
+	// Every code and header is at most 2*len(comp.vars)+1, so heads pack
+	// unless the component is huge.
+	cmpSpans := spanOrder(lits, 2*len(comp.vars)+1 < keyHeadLimit)
+	slices.SortFunc(spans[:nCls], cmpSpans)
+	slices.SortFunc(spans[nCls:], cmpSpans)
+	buf := s.keyBuf[:0]
+	for _, sp := range spans[:nCls] {
+		buf = binary.AppendUvarint(buf, uint64(sp.end-sp.start))
+		for _, code := range lits[sp.start:sp.end] {
 			buf = binary.AppendUvarint(buf, uint64(code))
 		}
 	}
-	s.keyLits, s.keyCls, s.keyBuf = lits[:0], cls[:0], buf
+	// XOR section: canonical rows (effective rhs header + free-variable
+	// ranks), sorted, always present so clause-only keys cannot alias
+	// mixed ones.
+	buf = binary.AppendUvarint(buf, uint64(len(spans)-nCls))
+	for _, sp := range spans[nCls:] {
+		for _, code := range lits[sp.start:sp.end] {
+			buf = binary.AppendUvarint(buf, uint64(code))
+		}
+	}
+	s.keyLits, s.keySpans, s.keyBuf = lits[:0], spans[:0], buf
 	return string(buf)
+}
+
+// keySpan locates one clause or xor-row segment in Solver.keyLits. head
+// packs the segment's first keyHeadCodes codes, each as code+1 in 21
+// bits with 0 for "absent", so comparing heads orders segments exactly
+// as comparing their first codes lexicographically does (a shorter
+// prefix sorts first); only segments with equal heads compare the rest.
+type keySpan struct {
+	head       uint64
+	start, end int32
+}
+
+const (
+	keyHeadCodes = 3
+	keyHeadBits  = 21
+	keyHeadLimit = 1<<keyHeadBits - 1 // codes must stay below this to pack
+)
+
+// newKeySpan describes the segment lits[start:], the last one appended.
+// Its head is meaningless (and unused) when a code reaches keyHeadLimit.
+func newKeySpan(lits []int32, start int) keySpan {
+	seg := lits[start:]
+	var head uint64
+	for i := 0; i < keyHeadCodes; i++ {
+		head <<= keyHeadBits
+		if i < len(seg) {
+			head |= uint64(seg[i]) + 1
+		}
+	}
+	return keySpan{head, int32(start), int32(len(lits))}
+}
+
+// spanOrder returns the lexicographic order of segments of lits; with
+// packed set it compares heads first, which requires every code to be
+// below keyHeadLimit.
+func spanOrder(lits []int32, packed bool) func(a, b keySpan) int {
+	if !packed {
+		return func(a, b keySpan) int {
+			return slices.Compare(lits[a.start:a.end], lits[b.start:b.end])
+		}
+	}
+	return func(a, b keySpan) int {
+		if c := cmp.Compare(a.head, b.head); c != 0 {
+			return c
+		}
+		ta, tb := min(a.start+keyHeadCodes, a.end), min(b.start+keyHeadCodes, b.end)
+		return slices.Compare(lits[ta:a.end], lits[tb:b.end])
+	}
 }
 
 // solveComponent counts the models of one residual component, consulting
@@ -262,7 +316,7 @@ func (s *Solver) branchCount(comp *component) *big.Int {
 		mark := len(s.trail)
 		s.curLevel++
 		s.propQ = append(s.propQ, propItem{lit, reasonDecision})
-		if s.propagate() && (s.cfg.DisableIBCP || s.failedLiteralFixpoint(comp.vars)) {
+		if s.propagateAndProbe(mark, comp.vars) {
 			sub := big.NewInt(1)
 			comps, freeCount := s.findComponents(comp.vars)
 			sub.Lsh(sub, uint(freeCount))
@@ -292,12 +346,12 @@ func (s *Solver) branchCount(comp *component) *big.Int {
 // formula shrinks).
 func (s *Solver) pickVar(comp *component) int32 {
 	best := comp.vars[0]
-	bestScore := -1
+	bestScore := int32(-1)
 	// Score per variable: sum over active clauses of 1, weighted 4 for
 	// binary residual clauses (they propagate immediately when decided).
-	score := make(map[int32]int, len(comp.vars))
+	score := s.score
 	for _, ci := range comp.clauses {
-		w := 1
+		w := int32(1)
 		if int32(len(s.clauses[ci]))-s.nFalse[ci] == 2 {
 			w = 4
 		}
@@ -311,7 +365,7 @@ func (s *Solver) pickVar(comp *component) int32 {
 	// Parity rows score like clauses: a row down to two free variables
 	// propagates immediately when one of them is decided.
 	for _, xi := range comp.xors {
-		w := 2
+		w := int32(2)
 		if s.xorFree[xi] == 2 {
 			w = 4
 		}
@@ -321,11 +375,14 @@ func (s *Solver) pickVar(comp *component) int32 {
 			}
 		}
 	}
+	// Every scored variable is a free component variable, so zeroing
+	// over comp.vars leaves the array clean for the next call.
 	for _, v := range comp.vars {
 		if sc := score[v]; sc > bestScore {
 			bestScore = sc
 			best = v
 		}
+		score[v] = 0
 	}
 	return best
 }

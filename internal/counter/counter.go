@@ -249,10 +249,18 @@ type Solver struct {
 	// Cache built per Count call; nil when caching is disabled.
 	cache *Cache
 	// canonical-key scratch (see cacheKey)
-	varRank []int32   // var -> dense local index within the current component
-	keyLits []int32   // flat free-literal codes, clause by clause
-	keyCls  [][]int32 // per-clause views into keyLits
-	keyBuf  []byte    // serialized key
+	varRank  []int32   // var -> dense local index within the current component
+	keyLits  []int32   // flat free-literal codes, clause by clause, then xor rows
+	keySpans []keySpan // per-clause and per-row offsets into keyLits
+	keyBuf   []byte    // serialized key
+
+	// implicit-BCP scratch (see ibcp.go)
+	frontSeen  []uint32 // two stamps per frontier: component member / collected
+	frontStamp uint32
+	probeBuf   []int32 // probe candidates
+
+	// branching-heuristic scratch: var -> score, zero outside pickVar
+	score []int32
 
 	// sim hook scratch
 	gateSeen   []uint32
@@ -261,8 +269,9 @@ type Solver struct {
 	compXorSet []uint32 // stamp: xor row belongs to current component
 
 	// Gaussian-elimination scratch (see xor.go)
-	gaussRows [][]uint64
-	gaussRhs  []bool
+	gaussRows  [][]uint64
+	gaussWords []uint64 // backing store the rows are carved from
+	gaussRhs   []bool
 
 	stats    Stats
 	ctx      context.Context // active cancellation source (nil = none)
@@ -325,6 +334,8 @@ func New(f *cnf.Formula, cfg Config) *Solver {
 	s.level = make([]int32, f.NumVars+1)
 	s.assign = make([]int8, f.NumVars+1)
 	s.varRank = make([]int32, f.NumVars+1)
+	s.frontSeen = make([]uint32, f.NumVars+1)
+	s.score = make([]int32, f.NumVars+1)
 	s.nTrue = make([]int32, len(s.clauses))
 	s.nFalse = make([]int32, len(s.clauses))
 	s.varSeen = make([]uint32, f.NumVars+1)
@@ -422,14 +433,11 @@ func (s *Solver) CountCtx(ctx context.Context) (*big.Int, error) {
 	if !s.queueXorUnits() {
 		return big.NewInt(0), nil
 	}
-	if !s.propagate() {
-		return big.NewInt(0), nil
-	}
 	allVars := make([]int32, 0, s.nVars)
 	for v := int32(1); v <= int32(s.nVars); v++ {
 		allVars = append(allVars, v)
 	}
-	if !s.cfg.DisableIBCP && !s.failedLiteralFixpoint(allVars) {
+	if !s.propagateAndProbe(probeAll, allVars) {
 		return big.NewInt(0), nil
 	}
 	if s.aborted {

@@ -106,7 +106,7 @@ func (s *Solver) satComponent(comp *component) (bool, bool) {
 		mark := len(s.trail)
 		s.curLevel++
 		s.propQ = append(s.propQ, propItem{lit, reasonDecision})
-		if s.propagate() && (s.cfg.DisableIBCP || s.failedLiteralFixpoint(comp.vars)) {
+		if s.propagateAndProbe(mark, comp.vars) {
 			comps, _ := s.findComponents(comp.vars)
 			all := true
 			for _, sc := range comps {

@@ -3,6 +3,7 @@ package counter
 import (
 	"math/big"
 	"math/bits"
+	"slices"
 
 	"vacsem/internal/cnf"
 )
@@ -160,7 +161,7 @@ func (s *Solver) tryGauss(comp *component) (*big.Int, bool) {
 		s.stats.XorPropagations++
 	}
 	total := big.NewInt(0)
-	if s.propagate() && (s.cfg.DisableIBCP || s.failedLiteralFixpoint(comp.vars)) {
+	if s.propagateAndProbe(mark, comp.vars) {
 		sub := big.NewInt(1)
 		comps, freeCount := s.findComponents(comp.vars)
 		sub.Lsh(sub, uint(freeCount))
@@ -195,8 +196,11 @@ func (s *Solver) gaussEliminate(comp *component) (units []int32, rank int, consi
 	}
 	rows := s.gaussRows[:0]
 	rhs := s.gaussRhs[:0]
-	for _, xi := range comp.xors {
-		row := make([]uint64, words)
+	backing := slices.Grow(s.gaussWords[:0], len(comp.xors)*words)[:len(comp.xors)*words]
+	clear(backing)
+	s.gaussWords = backing
+	for i, xi := range comp.xors {
+		row := backing[i*words : (i+1)*words : (i+1)*words]
 		for _, v := range s.xors[xi].Vars {
 			if s.assign[v] != unassigned {
 				continue
