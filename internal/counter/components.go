@@ -1,7 +1,6 @@
 package counter
 
 import (
-	"cmp"
 	"encoding/binary"
 	"math/big"
 	"slices"
@@ -149,7 +148,7 @@ func (s *Solver) cacheKey(comp *component) string {
 			lits = append(lits, code)
 		}
 		slices.Sort(lits[start:])
-		spans = append(spans, newKeySpan(lits, start))
+		spans = append(spans, keySpan{int32(start), int32(len(lits))})
 	}
 	nCls := len(spans)
 	// XOR rows go into the same flat buffer as [hdr, ranks...], so rows
@@ -168,11 +167,11 @@ func (s *Solver) cacheKey(comp *component) string {
 			hdr |= 1
 		}
 		lits[start] = hdr
-		spans = append(spans, newKeySpan(lits, start))
+		spans = append(spans, keySpan{int32(start), int32(len(lits))})
 	}
-	// Every code and header is at most 2*len(comp.vars)+1, so heads pack
-	// unless the component is huge.
-	cmpSpans := spanOrder(lits, 2*len(comp.vars)+1 < keyHeadLimit)
+	cmpSpans := func(a, b keySpan) int {
+		return slices.Compare(lits[a.start:a.end], lits[b.start:b.end])
+	}
 	slices.SortFunc(spans[:nCls], cmpSpans)
 	slices.SortFunc(spans[nCls:], cmpSpans)
 	buf := s.keyBuf[:0]
@@ -195,53 +194,8 @@ func (s *Solver) cacheKey(comp *component) string {
 	return string(buf)
 }
 
-// keySpan locates one clause or xor-row segment in Solver.keyLits. head
-// packs the segment's first keyHeadCodes codes, each as code+1 in 21
-// bits with 0 for "absent", so comparing heads orders segments exactly
-// as comparing their first codes lexicographically does (a shorter
-// prefix sorts first); only segments with equal heads compare the rest.
-type keySpan struct {
-	head       uint64
-	start, end int32
-}
-
-const (
-	keyHeadCodes = 3
-	keyHeadBits  = 21
-	keyHeadLimit = 1<<keyHeadBits - 1 // codes must stay below this to pack
-)
-
-// newKeySpan describes the segment lits[start:], the last one appended.
-// Its head is meaningless (and unused) when a code reaches keyHeadLimit.
-func newKeySpan(lits []int32, start int) keySpan {
-	seg := lits[start:]
-	var head uint64
-	for i := 0; i < keyHeadCodes; i++ {
-		head <<= keyHeadBits
-		if i < len(seg) {
-			head |= uint64(seg[i]) + 1
-		}
-	}
-	return keySpan{head, int32(start), int32(len(lits))}
-}
-
-// spanOrder returns the lexicographic order of segments of lits; with
-// packed set it compares heads first, which requires every code to be
-// below keyHeadLimit.
-func spanOrder(lits []int32, packed bool) func(a, b keySpan) int {
-	if !packed {
-		return func(a, b keySpan) int {
-			return slices.Compare(lits[a.start:a.end], lits[b.start:b.end])
-		}
-	}
-	return func(a, b keySpan) int {
-		if c := cmp.Compare(a.head, b.head); c != 0 {
-			return c
-		}
-		ta, tb := min(a.start+keyHeadCodes, a.end), min(b.start+keyHeadCodes, b.end)
-		return slices.Compare(lits[ta:a.end], lits[tb:b.end])
-	}
-}
+// keySpan locates one clause or xor-row segment in Solver.keyLits.
+type keySpan struct{ start, end int32 }
 
 // solveComponent counts the models of one residual component, consulting
 // the cache and the simulation controller first (Algorithm 1 lines 1-2),

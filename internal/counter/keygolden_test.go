@@ -2,7 +2,6 @@ package counter
 
 import (
 	"encoding/hex"
-	"math/rand"
 	"testing"
 
 	"vacsem/internal/cnf"
@@ -58,31 +57,5 @@ func TestCacheKeyGoldenBytes(t *testing.T) {
 	// the solver's scratch buffers yields the same bytes.
 	if got := hex.EncodeToString([]byte(s.cacheKey(comps[0]))); got != want {
 		t.Fatalf("second cacheKey call differs: %s", got)
-	}
-}
-
-// TestSpanOrderPackedMatchesLexicographic checks that comparing packed
-// heads first orders key segments exactly as plain lexicographic
-// comparison does, including prefixes, equal heads with different
-// tails, and codes at the packing limit.
-func TestSpanOrderPackedMatchesLexicographic(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	codes := []int32{0, 1, 2, 3, keyHeadLimit - 2, keyHeadLimit - 1}
-	var lits []int32
-	var spans []keySpan
-	for i := 0; i < 2000; i++ {
-		start := len(lits)
-		for n := rng.Intn(7); n > 0; n-- {
-			lits = append(lits, codes[rng.Intn(len(codes))])
-		}
-		spans = append(spans, newKeySpan(lits, start))
-	}
-	packed, plain := spanOrder(lits, true), spanOrder(lits, false)
-	for i := 0; i < 20000; i++ {
-		a, b := spans[rng.Intn(len(spans))], spans[rng.Intn(len(spans))]
-		if got, want := packed(a, b), plain(a, b); got != want {
-			t.Fatalf("packed order %d, lexicographic %d for %v vs %v",
-				got, want, lits[a.start:a.end], lits[b.start:b.end])
-		}
 	}
 }
