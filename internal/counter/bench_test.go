@@ -16,7 +16,8 @@ import (
 // lower-OR approximation (k = 4) MED session, read from BLIF, counted
 // serially in VACSEM mode with one private component cache per
 // iteration — the way one session's solvers share it. Plan building and
-// CNF encoding stay outside the timer.
+// CNF encoding stay outside the timer. Decisions, components and failed
+// literals per op show the search; propagations per op show its work.
 func BenchmarkCounterAdderMED(b *testing.B) {
 	ctx := context.Background()
 	exact := viaBLIF(b, gen.RippleCarryAdder(10))
@@ -54,4 +55,6 @@ func BenchmarkCounterAdderMED(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.Decisions)/float64(b.N), "decisions/op")
 	b.ReportMetric(float64(st.Propagations)/float64(b.N), "propagations/op")
+	b.ReportMetric(float64(st.Components)/float64(b.N), "components/op")
+	b.ReportMetric(float64(st.FailedLiterals)/float64(b.N), "failed_literals/op")
 }

@@ -11,15 +11,25 @@ import (
 // those constraints. Components share no variables, so their counts
 // multiply (Algorithm 1, line 11).
 type component struct {
-	vars    []int32 // free variables, sorted
-	clauses []int32 // active clause indices, sorted
-	xors    []int32 // active xor row indices, sorted
+	vars    []int32 // free variables, ascending
+	clauses []int32 // active clause indices, in discovery order
+	xors    []int32 // active xor row indices, in discovery order
 }
 
 // findComponents partitions the given candidate variables into connected
 // components of the residual formula. Variables that are unassigned but
 // appear in no active clause are unconstrained; their number is returned
 // as freeCount (each contributes a factor of 2).
+//
+// vars must be ascending and closed under the residual's connectivity
+// (every free variable an active constraint links to one of vars is in
+// vars): CountCtx passes 1..n, and branchCount, satComponent and tryGauss
+// pass the parent component's vars. Each component's vars are then
+// collected by one pass over vars, ascending without a sort. Components
+// come out in the order of their smallest variable. No consumer depends
+// on clause or row order: cacheKey sorts by content, pickVar sums,
+// trySimulate sorts its gates and counts every pattern of its inputs
+// (whose order follows the clauses), and Gauss columns follow vars.
 func (s *Solver) findComponents(vars []int32) (comps []*component, freeCount int) {
 	s.stamp++
 	stamp := s.stamp
@@ -31,13 +41,15 @@ func (s *Solver) findComponents(vars []int32) (comps []*component, freeCount int
 		// Does v0 touch any active clause?
 		if !s.hasActiveClause(v0) {
 			s.varSeen[v0] = stamp
+			s.varComp[v0] = -1
 			freeCount++
 			continue
 		}
+		id := int32(len(comps))
 		comp := &component{}
 		s.varSeen[v0] = stamp
+		s.varComp[v0] = id
 		queue = append(queue[:0], v0)
-		comp.vars = append(comp.vars, v0)
 		for len(queue) > 0 {
 			v := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
@@ -63,7 +75,7 @@ func (s *Solver) findComponents(vars []int32) (comps []*component, freeCount int
 							continue
 						}
 						s.varSeen[w] = stamp
-						comp.vars = append(comp.vars, w)
+						s.varComp[w] = id
 						queue = append(queue, w)
 					}
 				}
@@ -81,15 +93,19 @@ func (s *Solver) findComponents(vars []int32) (comps []*component, freeCount int
 						continue
 					}
 					s.varSeen[w] = stamp
-					comp.vars = append(comp.vars, w)
+					s.varComp[w] = id
 					queue = append(queue, w)
 				}
 			}
 		}
-		slices.Sort(comp.vars)
-		slices.Sort(comp.clauses)
-		slices.Sort(comp.xors)
 		comps = append(comps, comp)
+	}
+	for _, v := range vars {
+		if s.assign[v] == unassigned {
+			if id := s.varComp[v]; id >= 0 {
+				comps[id].vars = append(comps[id].vars, v)
+			}
+		}
 	}
 	return comps, freeCount
 }
@@ -169,11 +185,8 @@ func (s *Solver) cacheKey(comp *component) string {
 		lits[start] = hdr
 		spans = append(spans, keySpan{int32(start), int32(len(lits))})
 	}
-	cmpSpans := func(a, b keySpan) int {
-		return slices.Compare(lits[a.start:a.end], lits[b.start:b.end])
-	}
-	slices.SortFunc(spans[:nCls], cmpSpans)
-	slices.SortFunc(spans[nCls:], cmpSpans)
+	s.sortSpans(lits, spans[:nCls])
+	s.sortSpans(lits, spans[nCls:])
 	buf := s.keyBuf[:0]
 	for _, sp := range spans[:nCls] {
 		buf = binary.AppendUvarint(buf, uint64(sp.end-sp.start))
@@ -196,6 +209,49 @@ func (s *Solver) cacheKey(comp *component) string {
 
 // keySpan locates one clause or xor-row segment in Solver.keyLits.
 type keySpan struct{ start, end int32 }
+
+// sortSpans orders spans lexicographically by their segments of lits.
+// It counting-sorts the spans by their first code, then sorts only the
+// buckets holding more than one span with the full comparison. Spans
+// are never empty: a clause span holds the free variable the component
+// was reached through, and a row span starts with its header. First
+// codes are at most 2*len(comp.vars)+1, so the buckets stay small.
+func (s *Solver) sortSpans(lits []int32, spans []keySpan) {
+	if len(spans) < 2 {
+		return
+	}
+	maxFirst := int32(0)
+	for _, sp := range spans {
+		maxFirst = max(maxFirst, lits[sp.start])
+	}
+	// next[c] starts as bucket c's offset and ends as its end.
+	next := slices.Grow(s.keyBuckets[:0], int(maxFirst)+2)[:maxFirst+2]
+	clear(next)
+	for _, sp := range spans {
+		next[lits[sp.start]+1]++
+	}
+	for c := 1; c < len(next); c++ {
+		next[c] += next[c-1]
+	}
+	tmp := slices.Grow(s.keySorted[:0], len(spans))[:len(spans)]
+	for _, sp := range spans {
+		c := lits[sp.start]
+		tmp[next[c]] = sp
+		next[c]++
+	}
+	copy(spans, tmp)
+	s.keyBuckets, s.keySorted = next, tmp
+	cmpSpans := func(a, b keySpan) int {
+		return slices.Compare(lits[a.start:a.end], lits[b.start:b.end])
+	}
+	lo := int32(0)
+	for _, hi := range next[:maxFirst+1] {
+		if hi-lo > 1 {
+			slices.SortFunc(spans[lo:hi], cmpSpans)
+		}
+		lo = hi
+	}
+}
 
 // solveComponent counts the models of one residual component, consulting
 // the cache and the simulation controller first (Algorithm 1 lines 1-2),

@@ -108,8 +108,10 @@ const defaultMaxCacheEntries = 4 << 20
 
 // Stats reports the work performed by one Count call.
 type Stats struct {
-	Decisions    uint64 // branching decisions
-	Propagations uint64 // literals assigned by BCP
+	Decisions uint64 // branching decisions
+	// Propagations counts literals assigned by BCP, including those
+	// assigned inside failed-literal probes and undone after them.
+	Propagations uint64
 	Components   uint64 // residual components solved
 	CacheHits    uint64
 	CacheStores  uint64
@@ -244,6 +246,7 @@ type Solver struct {
 	varSeen []uint32
 	clSeen  []uint32
 	xorSeen []uint32
+	varComp []int32 // var -> component index in the current findComponents call, -1 when unconstrained
 
 	// cache: either Config.Cache (shared across solvers) or a private
 	// Cache built per Count call; nil when caching is disabled.
@@ -253,11 +256,18 @@ type Solver struct {
 	keyLits  []int32   // flat free-literal codes, clause by clause, then xor rows
 	keySpans []keySpan // per-clause and per-row offsets into keyLits
 	keyBuf   []byte    // serialized key
+	// span-sort scratch (see sortSpans)
+	keyBuckets []int32   // first code -> bucket offset
+	keySorted  []keySpan // spans scattered into bucket order
 
 	// implicit-BCP scratch (see ibcp.go)
 	frontSeen  []uint32 // two stamps per frontier: component member / collected
 	frontStamp uint32
 	probeBuf   []int32 // probe candidates
+	// implied[litIndex(l)] == impliedStamp: l was propagated by a probe
+	// phase that succeeded under the current assignment (see probe)
+	implied      []uint32
+	impliedStamp uint32
 
 	// branching-heuristic scratch: var -> score, zero outside pickVar
 	score []int32
@@ -335,10 +345,12 @@ func New(f *cnf.Formula, cfg Config) *Solver {
 	s.assign = make([]int8, f.NumVars+1)
 	s.varRank = make([]int32, f.NumVars+1)
 	s.frontSeen = make([]uint32, f.NumVars+1)
+	s.implied = make([]uint32, 2*(f.NumVars+1))
 	s.score = make([]int32, f.NumVars+1)
 	s.nTrue = make([]int32, len(s.clauses))
 	s.nFalse = make([]int32, len(s.clauses))
 	s.varSeen = make([]uint32, f.NumVars+1)
+	s.varComp = make([]int32, f.NumVars+1)
 	s.clSeen = make([]uint32, len(s.clauses))
 	s.compClSet = make([]uint32, len(s.clauses))
 	s.xors = append([]cnf.XorClause(nil), f.Xors...)

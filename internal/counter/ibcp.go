@@ -159,8 +159,15 @@ func (s *Solver) frontierCandidates(mark int, vars []int32, out []int32) []int32
 // count is unchanged). It reports false when the current assignment
 // itself is contradictory (both phases of some variable fail), meaning
 // the component has zero models.
+//
+// A phase implied by a phase that propagated without conflict under the
+// same assignment is dominated and is not probed: propagation is
+// monotone, so UP(b) ⊆ UP(a) when b ∈ UP(a), and b cannot fail where a
+// did not. Skipped phases are exactly ones that would have succeeded,
+// so failed literals, learned clauses and the search stay the same.
 func (s *Solver) failedLiteralFixpoint(mark int, vars []int32) bool {
 	for {
+		s.nextImpliedRound()
 		if mark == probeAll {
 			s.probeBuf = s.probeCandidates(vars, s.probeBuf)
 		} else {
@@ -186,23 +193,44 @@ func (s *Solver) failedLiteralFixpoint(mark int, vars []int32) bool {
 	}
 }
 
-// probe tries both phases of v. A phase whose propagation conflicts is
-// a failed literal: its complement is asserted and propagated. probe
-// reports whether a failed literal was asserted, and ok=false when that
-// propagation conflicted too.
+// probe tries both phases of v, skipping a phase a successful probe of
+// this round already implied. A phase whose propagation conflicts is a
+// failed literal: its complement is asserted and propagated, which
+// starts a new implied round (the assignment grew, so earlier probes
+// may fail now). probe reports whether a failed literal was asserted,
+// and ok=false when that propagation conflicted too.
 func (s *Solver) probe(v int32) (failed, ok bool) {
 	for _, lit := range [2]int32{v, -v} {
+		if s.implied[litIndex(lit)] == s.impliedStamp {
+			continue
+		}
 		mark := len(s.trail)
 		s.curLevel++
 		s.propQ = append(s.propQ, propItem{lit, reasonDecision})
 		okLit := s.propagate()
+		if okLit {
+			for _, l := range s.trail[mark:] {
+				s.implied[litIndex(l)] = s.impliedStamp
+			}
+		}
 		s.undoTo(mark)
 		s.curLevel--
 		if !okLit {
 			s.stats.FailedLiterals++
 			s.propQ = append(s.propQ, propItem{-lit, reasonAsserted})
+			s.nextImpliedRound()
 			return true, s.propagate()
 		}
 	}
 	return false, true
+}
+
+// nextImpliedRound invalidates every implied stamp: the assignment the
+// stamps were made under is about to change.
+func (s *Solver) nextImpliedRound() {
+	s.impliedStamp++
+	if s.impliedStamp == 0 { // wrapped: stale stamps could collide
+		clear(s.implied)
+		s.impliedStamp = 1
+	}
 }

@@ -151,13 +151,11 @@ func TestIBCPDifferentialMultipliers(t *testing.T) {
 	}
 }
 
-// TestIBCPDifferentialGaussUnits drives the Gauss derived-unit path:
-// neither parity row propagates alone, but their sum forces x3, and
-// only under x3 do the clauses over x9 and x11 shrink to the binaries
-// that make x9 a failed literal — found by probing the frontier of the
-// derived unit, not by the level-0 pass.
-func TestIBCPDifferentialGaussUnits(t *testing.T) {
-	const src = `p cnf 12 9
+// gaussUnitsDIMACS is a CNF+XOR formula on which neither parity row
+// propagates alone, but their sum forces x3, and only under x3 do the
+// clauses over x9 and x11 shrink to the binaries that make x9 a failed
+// literal.
+const gaussUnitsDIMACS = `p cnf 12 9
 x 1 2 3 0
 x -1 2 0
 -3 -9 11 0
@@ -168,7 +166,12 @@ x -1 2 0
 -7 2 8 10 0
 8 -5 12 -1 0
 `
-	f, err := cnf.ParseDIMACS(strings.NewReader(src))
+
+// TestIBCPDifferentialGaussUnits drives the Gauss derived-unit path on
+// gaussUnitsDIMACS, where the failed literal x9 is found by probing the
+// frontier of the derived unit, not by the level-0 pass.
+func TestIBCPDifferentialGaussUnits(t *testing.T) {
+	f, err := cnf.ParseDIMACS(strings.NewReader(gaussUnitsDIMACS))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,9 @@ go vet ./...
 echo "==> go build"
 go build ./...
 
+echo "==> vbench vet + build (its own module, outside the root ./...)"
+(cd vbench && GOWORK=off go vet ./... && GOWORK=off go build -o /dev/null .)
+
 echo "==> go test -race -short (cache/engine concurrency fast path)"
 # Focused first pass over the packages that share the component cache
 # across goroutines — plus the observability hub/recorder/server, whose
