@@ -12,6 +12,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -427,7 +428,18 @@ func (c *Circuit) ExtractCone(outputIdx ...int) (*Circuit, []int) {
 		roots[i] = c.Outputs[oi]
 	}
 	mark := c.ConeMark(roots...)
+	nNodes, nFanins := 0, 0
+	for id, m := range mark {
+		if m {
+			nNodes++
+			nFanins += len(c.Nodes[id].Fanins)
+		}
+	}
 	nc := New(c.Name + "_cone")
+	nc.Nodes = slices.Grow(nc.Nodes, nNodes)
+	// Every kept gate's fanins are carved from one slab (capacity-capped,
+	// so appending to one node's fanins cannot overwrite the next).
+	slab := make([]int, 0, nFanins)
 	old2new := make([]int, len(c.Nodes))
 	for i := range old2new {
 		old2new[i] = -1
@@ -438,16 +450,18 @@ func (c *Circuit) ExtractCone(outputIdx ...int) (*Circuit, []int) {
 			continue
 		}
 		nd := &c.Nodes[id]
-		switch nd.Kind {
-		case Input:
+		if nd.Kind == Input {
 			old2new[id] = nc.AddInput(nd.Name)
-		default:
-			fi := make([]int, len(nd.Fanins))
-			for j, f := range nd.Fanins {
-				fi[j] = old2new[f]
-			}
-			old2new[id] = nc.AddGate(nd.Kind, fi...)
+			continue
 		}
+		// Fanins were mapped first (ids are topological), so the new
+		// node's fanins precede it and the cone stays topologically sorted.
+		start := len(slab)
+		for _, f := range nd.Fanins {
+			slab = append(slab, old2new[f])
+		}
+		old2new[id] = len(nc.Nodes)
+		nc.Nodes = append(nc.Nodes, Node{Kind: nd.Kind, Fanins: slab[start:len(slab):len(slab)]})
 	}
 	for i, oi := range outputIdx {
 		nc.AddOutput(old2new[roots[i]], c.OutputName(oi))
@@ -471,12 +485,13 @@ func Append(dst, src *Circuit, inputMap []int) []int {
 	for i, id := range src.Inputs {
 		old2new[id] = inputMap[i]
 	}
+	var buf [3]int // AddGate copies its fanins, so one buffer serves every gate
 	for id := 1; id < len(src.Nodes); id++ {
 		nd := &src.Nodes[id]
 		if nd.Kind == Input {
 			continue
 		}
-		fi := make([]int, len(nd.Fanins))
+		fi := buf[:len(nd.Fanins)]
 		for j, f := range nd.Fanins {
 			if old2new[f] < 0 {
 				panic("circuit: Append encountered unmapped fanin")

@@ -11,10 +11,11 @@
 //  2. attaches one metric head per requested metric (XOR-reduce for ER,
 //     per-bit XORs for MHD, the |y - y'| subtractor for MED, subtractor
 //     plus comparator for the threshold probability),
-//  3. cuts one logic cone per metric output bit, synthesizes each cone,
-//     and deduplicates structurally identical cones by a canonical key —
-//     both within a metric (repeated deviation bits) and across metrics
-//     (e.g. MED's low bit compressing to the same XOR as MHD's bit 0),
+//  3. synthesizes the combined circuit (base plus every head) in one
+//     pass, then cuts one logic cone per unique output and deduplicates
+//     structurally identical cones by a canonical key — both within a
+//     metric (repeated deviation bits) and across metrics (e.g. MED's low
+//     bit compressing to the same XOR as MHD's bit 0),
 //  4. assembles each metric's outcome from its tasks' (possibly shared)
 //     counts.
 //
@@ -177,8 +178,23 @@ func Build(ctx context.Context, exact, approx *circuit.Circuit, specs []Spec, no
 	}
 	p.BaseNodesAfter = b.Circ.NumGates()
 
-	// Attach one head per metric and register its bits as outputs of
-	// the combined circuit, one output per requested task.
+	c, err := p.attachHeads(b, specs, names)
+	if err != nil {
+		if tr != nil {
+			tr.EndSpan(span, "plan", obs.Fields{"error": err.Error()})
+		}
+		return nil, err
+	}
+	p.compile(c, noSynth)
+	p.finish(tr, span)
+	return p, nil
+}
+
+// attachHeads attaches one metric head per spec to the base and
+// registers each head's bits as outputs of the combined circuit, one
+// output per requested bit in metric order. It fills p.Metrics except
+// TaskOf and Owner, and returns the combined circuit (the base's, grown).
+func (p *Plan) attachHeads(b *miter.Base, specs []Spec, names []string) (*circuit.Circuit, error) {
 	c := b.Circ
 	p.Metrics = make([]Metric, len(specs))
 	for i, s := range specs {
@@ -207,24 +223,18 @@ func Build(ctx context.Context, exact, approx *circuit.Circuit, specs []Spec, no
 			m.Outputs = []string{"f1"}
 			m.Weights = []*big.Int{big.NewInt(1)}
 		default:
-			if tr != nil {
-				tr.EndSpan(span, "plan", obs.Fields{"error": "unknown metric kind"})
-			}
 			return nil, fmt.Errorf("plan: unknown metric kind %d", int(s.Kind))
 		}
 		p.Metrics[i] = m
 	}
-
-	p.compile(c, noSynth)
-	p.finish(tr, span)
-	return p, nil
+	return c, nil
 }
 
 // FromMiter compiles a session from a caller-supplied deviation miter:
 // one metric whose value is sum_j weights[j] * P(output_j = 1). The
-// miter is synthesized once up front (mirroring the standard path's
-// base synthesis) and its output cones deduplicated like any other
-// session. The weights are defensively copied.
+// miter goes through compile's single synthesis pass, and its output
+// cones are deduplicated like any other session. Neither the caller's
+// circuit nor its weights are retained or modified.
 func FromMiter(ctx context.Context, name string, m *circuit.Circuit, weights []*big.Int, noSynth bool) (*Plan, error) {
 	if len(weights) != m.NumOutputs() {
 		return nil, fmt.Errorf("plan: %d weights for %d outputs", len(weights), m.NumOutputs())
@@ -236,25 +246,25 @@ func FromMiter(ctx context.Context, name string, m *circuit.Circuit, weights []*
 			"session": name, "metrics": 1,
 		})
 	}
-	work := m
-	if noSynth {
-		work = m.Clone() // compile re-purposes the outputs; keep the caller's copy intact
-	} else {
-		work = synth.Compress(m)
-	}
 	met := Metric{Name: name}
-	for j := 0; j < work.NumOutputs(); j++ {
-		met.Outputs = append(met.Outputs, work.OutputName(j))
+	for j := 0; j < m.NumOutputs(); j++ {
+		met.Outputs = append(met.Outputs, m.OutputName(j))
 		met.Weights = append(met.Weights, new(big.Int).Set(weights[j]))
 	}
 	p := &Plan{
 		Session:         name,
-		TotalInputs:     work.NumInputs(),
+		TotalInputs:     m.NumInputs(),
 		BaseNodesBefore: m.NumGates(),
-		BaseNodesAfter:  work.NumGates(),
 		Metrics:         []Metric{met},
 	}
+	work := m
+	if noSynth {
+		work = m.Clone() // compile re-purposes the outputs; keep the caller's copy intact
+	}
 	p.compile(work, noSynth)
+	// Every requested output maps to a task root, so the execution miter
+	// holds exactly the compressed logic of all outputs.
+	p.BaseNodesAfter = p.Exec.NumGates()
 	p.finish(tr, span)
 	return p, nil
 }
@@ -274,18 +284,24 @@ func (p *Plan) finish(tr *obs.Tracer, span obs.SpanID) {
 	}
 }
 
-// compile cuts one cone per output of c (the session's requested bits,
-// in metric order), synthesizes and deduplicates them, and re-purposes
-// c as the combined execution miter with one output per unique task.
-// The per-metric Outputs/Weights must already be set; TaskOf and Owner
-// are filled here.
+// compile synthesizes c (the session's requested bits as outputs, in
+// metric order) in one pass, cuts one cone per unique task from the
+// result, and re-purposes the compressed circuit as the combined
+// execution miter with one output per task. The per-metric
+// Outputs/Weights must already be set; TaskOf and Owner are filled here.
+//
+// Dedup works on the compressed circuit. Bits whose roots are one node
+// share a task outright (hash-consing already merged their logic); any
+// other bit is keyed from its root, and a cone is extracted only for a
+// key not seen before. Synthesis preserves every output's function, so
+// no bit's count changes. A cone that shares nodes with another head may
+// order its nodes differently than compressing it alone would; that can
+// only change its key (a cone-store miss), never its count.
 func (p *Plan) compile(c *circuit.Circuit, noSynth bool) {
-	type group struct {
-		cone     *circuit.Circuit
-		inputPos []int
-		root     int // node id in c
-		label    string
-		reqs     []int // request indexes mapped to this group
+	type task struct {
+		ct   engine.CountTask
+		root int // node id in the compressed circuit
+		reqs []int
 	}
 
 	nReq := 0
@@ -294,73 +310,51 @@ func (p *Plan) compile(c *circuit.Circuit, noSynth bool) {
 	}
 	p.TasksRequested = nReq
 
-	// Level 1: key the raw cones, so structurally identical bits are
-	// synthesized only once.
-	var groups []*group
-	rawKey := make(map[string]int)
+	comp := c
+	if !noSynth {
+		comp = synth.Compress(c)
+	}
+	raw := newCones(c)
+	keys := newCones(comp)
+	var tasks []*task
+	byRoot := make(map[int]int)
+	byKey := make(map[string]int)
 	ri := 0
 	for i := range p.Metrics {
 		for k := range p.Metrics[i].Outputs {
-			label := p.Metrics[i].Name + "/" + p.Metrics[i].Outputs[k]
-			cone, old2new := c.ExtractCone(ri)
-			pos := inputPositions(c, old2new)
-			key, _ := coneKey(cone, pos)
-			gi, ok := rawKey[key]
+			root := comp.Outputs[ri]
+			ti, ok := byRoot[root]
 			if !ok {
-				gi = len(groups)
-				rawKey[key] = gi
-				groups = append(groups, &group{
-					cone: cone, inputPos: pos,
-					root: c.Outputs[ri], label: label,
-				})
+				key, keyInputs := keys.key(root)
+				if ti, ok = byKey[key]; !ok {
+					label := p.Metrics[i].Name + "/" + p.Metrics[i].Outputs[k]
+					sub, _ := comp.ExtractCone(ri)
+					sub.Name = c.Name + "_" + label
+					ti = len(tasks)
+					byKey[key] = ti
+					tasks = append(tasks, &task{
+						ct: engine.CountTask{
+							Sub: sub, Label: label,
+							Key: key, KeyInputs: keyInputs,
+							NodesBefore: raw.mark(c.Outputs[ri]),
+							NodesAfter:  sub.NumGates(),
+						},
+						root: root,
+					})
+				}
+				byRoot[root] = ti
 			}
-			groups[gi].reqs = append(groups[gi].reqs, ri)
+			tasks[ti].reqs = append(tasks[ti].reqs, ri)
 			ri++
 		}
 	}
 
-	// Level 2: synthesize each unique cone and re-key — synthesis
-	// canonicalizes structure (e.g. MED's conditional negate cancels to
-	// the bare XOR that is MHD's bit), merging groups that only now
-	// became identical. Synthesis preserves the input list, so the raw
-	// cone's input positions keep identifying the compressed inputs.
-	type task struct {
-		ct   engine.CountTask
-		root int
-		reqs []int
-	}
-	var tasks []*task
-	compKey := make(map[string]int)
-	for _, g := range groups {
-		comp := g.cone
-		if !noSynth {
-			comp = synth.Compress(g.cone)
-		}
-		key, keyInputs := coneKey(comp, g.inputPos)
-		ti, ok := compKey[key]
-		if !ok {
-			ti = len(tasks)
-			compKey[key] = ti
-			comp.Name = c.Name + "_" + g.label
-			tasks = append(tasks, &task{
-				ct: engine.CountTask{
-					Sub: comp, Label: g.label,
-					Key: key, KeyInputs: keyInputs,
-					NodesBefore: g.cone.NumGates(),
-					NodesAfter:  comp.NumGates(),
-				},
-				root: g.root,
-			})
-		}
-		tasks[ti].reqs = append(tasks[ti].reqs, g.reqs...)
-	}
-
-	// Re-purpose c as the execution miter: one output per unique task.
-	c.ClearOutputs()
+	// Re-purpose comp as the execution miter: one output per unique task.
+	comp.ClearOutputs()
 	taskOf := make([]int, nReq)
 	owner := make([]int, len(tasks))
 	for ti, t := range tasks {
-		c.AddOutput(t.root, t.ct.Label)
+		comp.AddOutput(t.root, t.ct.Label)
 		own := t.reqs[0]
 		for _, r := range t.reqs {
 			taskOf[r] = ti
@@ -370,7 +364,7 @@ func (p *Plan) compile(c *circuit.Circuit, noSynth bool) {
 		}
 		owner[ti] = own
 	}
-	p.Exec = c
+	p.Exec = comp
 	p.Tasks = make([]engine.CountTask, len(tasks))
 	for ti, t := range tasks {
 		p.Tasks[ti] = t.ct
@@ -388,26 +382,61 @@ func (p *Plan) compile(c *circuit.Circuit, noSynth bool) {
 	}
 }
 
-// inputPositions maps a cone's inputs (in order) to their positions in
-// the combined circuit's input list, using the old-to-new id map
-// ExtractCone returned. Cone inputs are created in combined-id order,
-// and the combined input list is id-ordered too, so the result aligns
-// index-for-index with cone.Inputs.
-func inputPositions(c *circuit.Circuit, old2new []int) []int {
-	var pos []int
-	for pi, id := range c.Inputs {
-		if old2new[id] >= 0 {
-			pos = append(pos, pi)
-		}
-	}
-	return pos
+// cones walks the logic cones of one circuit, reusing its scratch across
+// roots: each walk stamps the cone's nodes with a fresh epoch, so no
+// per-root mark slice is allocated or cleared.
+type cones struct {
+	c *circuit.Circuit
+	// inputPos maps an input's node id to its position in the session's
+	// shared input list (its index in c.Inputs).
+	inputPos []int
+	stamp    []uint32
+	epoch    uint32
+	stack    []int
+	rank     []int
+	buf      []byte
 }
 
-// coneKey serializes the logic cone of a single-output circuit into a
-// canonical structural key. Two cones get the same key iff they compute
-// the same node structure over the same combined-miter inputs:
+func newCones(c *circuit.Circuit) *cones {
+	w := &cones{
+		c:        c,
+		inputPos: make([]int, len(c.Nodes)),
+		stamp:    make([]uint32, len(c.Nodes)),
+		rank:     make([]int, len(c.Nodes)),
+	}
+	for i, id := range c.Inputs {
+		w.inputPos[id] = i
+	}
+	return w
+}
+
+// mark stamps the transitive fanin of root (root included) with a fresh
+// epoch and returns the number of gates it holds, counted as
+// circuit.NumGates counts them.
+func (w *cones) mark(root int) (gates int) {
+	w.epoch++
+	w.stack = append(w.stack[:0], root)
+	for len(w.stack) > 0 {
+		id := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		if w.stamp[id] == w.epoch {
+			continue
+		}
+		w.stamp[id] = w.epoch
+		nd := &w.c.Nodes[id]
+		if nd.Kind.IsGate() && nd.Kind != circuit.Buf {
+			gates++
+		}
+		w.stack = append(w.stack, nd.Fanins...)
+	}
+	return gates
+}
+
+// key serializes the logic cone of root into a canonical structural key.
+// Two cones get the same key iff they compute the same node structure
+// over the same session inputs:
 //
-//   - only nodes reachable from the output are keyed (dangling gates or
+//   - only nodes reachable from root are keyed (dangling gates or
 //     inputs left behind by synthesis cannot differ the key),
 //   - nodes are identified by their dense rank in id order (ids are
 //     topological, so isomorphic cones rank identically),
@@ -425,33 +454,30 @@ func inputPositions(c *circuit.Circuit, old2new []int) []int {
 // reaches — the cone's own input space is 2^inputs, which is the space
 // the store normalizes counts to (unreachable inputs are free and scale
 // any count by an exact power of two).
-func coneKey(c *circuit.Circuit, inputPos []int) (key string, inputs int) {
-	mark := c.ConeMark(c.Outputs[0])
-	rank := make([]int, len(c.Nodes))
+func (w *cones) key(root int) (key string, inputs int) {
+	w.mark(root)
+	buf := w.buf[:0]
 	next := 0
-	inputIdx := make(map[int]int, len(c.Inputs))
-	for i, id := range c.Inputs {
-		inputIdx[id] = i
-	}
-	buf := make([]byte, 0, 16*len(c.Nodes))
-	for id := 0; id < len(c.Nodes); id++ {
-		if !mark[id] {
+	// Fanins precede their users, so the cone lies within ids 0..root.
+	for id := 0; id <= root; id++ {
+		if w.stamp[id] != w.epoch {
 			continue
 		}
-		rank[id] = next
+		w.rank[id] = next
 		next++
-		nd := &c.Nodes[id]
+		nd := &w.c.Nodes[id]
 		buf = append(buf, byte(nd.Kind))
 		if nd.Kind == circuit.Input {
 			inputs++
-			buf = binary.AppendUvarint(buf, uint64(inputPos[inputIdx[id]]))
+			buf = binary.AppendUvarint(buf, uint64(w.inputPos[id]))
 			continue
 		}
 		for _, f := range nd.Fanins {
-			buf = binary.AppendUvarint(buf, uint64(rank[f]))
+			buf = binary.AppendUvarint(buf, uint64(w.rank[f]))
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(rank[c.Outputs[0]]))
+	buf = binary.AppendUvarint(buf, uint64(w.rank[root]))
+	w.buf = buf
 	return string(buf), inputs
 }
 

@@ -384,16 +384,17 @@ func Sweep(c *circuit.Circuit) *circuit.Circuit {
 	for _, id := range c.Inputs {
 		old2new[id] = nc.AddInput(c.Nodes[id].Name)
 	}
+	var fi [3]int
 	for id := 1; id < len(c.Nodes); id++ {
 		nd := &c.Nodes[id]
 		if nd.Kind == circuit.Input || !mark[id] {
 			continue
 		}
-		fi := make([]int, len(nd.Fanins))
+		args := fi[:len(nd.Fanins)]
 		for j, f := range nd.Fanins {
-			fi[j] = old2new[f]
+			args[j] = old2new[f]
 		}
-		old2new[id] = nc.AddGate(nd.Kind, fi...)
+		old2new[id] = nc.AddGate(nd.Kind, args...)
 	}
 	for i, o := range c.Outputs {
 		nc.AddOutput(old2new[o], c.OutputName(i))
